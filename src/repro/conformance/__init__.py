@@ -9,8 +9,8 @@ parts, composed by :func:`run_conformance`:
   matrix and multi-controlled gates, measurements, resets, barriers,
   nested blocks) plus optional noise models.
 - :mod:`~repro.conformance.oracle` — the differential oracle: each
-  circuit runs on every registered statevector backend x {planned,
-  unplanned} x {fused, unfused}, through the density-matrix,
+  circuit runs on every registered statevector backend x {fused,
+  unfused}, through the density-matrix,
   trajectory (serial *and* batched), MPS and stabilizer engines where
   eligible, and through metamorphic checks (IR optimization passes,
   QASM and serializer round-trips).  Deterministic paths compare to

@@ -1,7 +1,7 @@
 """Per-backend agreement tolerances for the conformance oracle.
 
 Every differential check compares a *candidate* execution path against
-the reference (the planned ``kernel`` backend) and asserts the maximum
+the reference (the fused ``kernel`` plan) and asserts the maximum
 deviation stays under a named tolerance.  The tolerances are not all
 equal because the execution paths are not all equally exact:
 

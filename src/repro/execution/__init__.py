@@ -1,6 +1,6 @@
 """The unified execution core: request -> job -> result.
 
-Every run path of the toolbox — state-vector (planned and unplanned),
+Every run path of the toolbox — state-vector (fused and unfused plans),
 density-matrix, serial and batched Monte-Carlo trajectories, and
 vectorized parameter sweeps — executes through this package:
 

@@ -1,13 +1,12 @@
 """Statevector dispatch loops — THE place compiled plans execute.
 
-Historically every run path (planned and unplanned statevector,
-instrumented and not) carried its own copy of the step-dispatch loop,
-each with its own instrumentation and recorder plumbing.  This module
-is the collapse: :func:`run_plan` is the single branch-replay loop —
-parameterized by instrumentation instead of duplicated for it — and
-:func:`run_unplanned` the single walk-the-op-tree fallback.  Every
-``step.dispatch`` flight-recorder event, kernel metric and state
-high-water mark the statevector engines emit comes from here.
+:func:`run_plan` is the one statevector step loop: every
+:func:`~repro.simulation.simulate` run — fused or not
+(``compile=False`` compiles an unfused plan), instrumented or not —
+replays its compiled plan branch-wise here.  Every ``step.dispatch``
+flight-recorder event, kernel metric, state high-water mark and
+per-step cancellation check the statevector engines emit comes from
+here.
 
 The loops return raw data (branches, recorded measurements, stats);
 materializing user-facing result objects is the caller's job — see
@@ -22,10 +21,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.circuit.barrier import Barrier
-from repro.circuit.measurement import Measurement
-from repro.circuit.reset import Reset
-from repro.exceptions import SimulationError
 from repro.gates.base import QGate
 from repro.observability.backend import InstrumentedBackend, step_kind
 from repro.observability.instrument import current_instrumentation
@@ -44,13 +39,12 @@ from repro.observability.recorder import (
     record_event,
 )
 from repro.simulation.backends import Backend
-from repro.simulation.plan import GATE, MEASURE, PlanStats
+from repro.simulation.plan import GATE, MEASURE
 
 __all__ = [
     "Branch",
     "apply_operation",
     "run_plan",
-    "run_unplanned",
     "run_sweep",
     "run_unitary",
     "record_shots",
@@ -288,90 +282,6 @@ def run_plan(plan, state, atol, inst=None, check=None):
                 EV_STATE_HIGHWATER, bytes=live, branches=len(branches)
             )
     return branches, measurements
-
-
-def run_unplanned(circuit, engine, state, nb_qubits, atol, inst):
-    """The historical walk-the-op-tree path (``compile=False``).
-
-    Returns ``(branches, measurements, end_measured, stats)`` — the
-    same raw payload :func:`run_plan` feeds the executor, with
-    ``end_measured`` rebuilt from the op walk (no plan exists to carry
-    it).
-    """
-    ops = list(circuit.operations())
-
-    # Which qubits end on a measurement (for reducedStates)?
-    last_touch: dict = {}
-    record_counter = 0
-    record_index: dict = {}  # id(op) -> result-string position
-    for op, off in ops:
-        if isinstance(op, Barrier):
-            continue
-        recorded = isinstance(op, Measurement) or (
-            isinstance(op, Reset) and op.record
-        )
-        if recorded:
-            record_index[id(op)] = record_counter
-            record_counter += 1
-        for q in op.qubits:
-            last_touch[q + off] = op
-    end_measured = {}
-    for q, op in last_touch.items():
-        if isinstance(op, Measurement):
-            end_measured[q] = (record_index[id(op)], op)
-
-    branches = [Branch(1.0, state, "")]
-    measurements = []
-
-    # Gate applies go through the instrumented wrapper when tracing so
-    # uncompiled runs are measurable too.
-    apply_engine = (
-        InstrumentedBackend(engine, inst.metrics)
-        if inst.enabled
-        else engine
-    )
-    nb_source_ops = 0
-    nb_gates = 0
-    t0 = perf_counter()
-    with inst.span("simulate.execute", backend=engine.name):
-        for op, off in ops:
-            if isinstance(op, Barrier):
-                continue
-            nb_source_ops += 1
-            if isinstance(op, QGate):
-                nb_gates += 1
-                for branch in branches:
-                    branch.state = apply_operation(
-                        apply_engine, branch.state, op, off, nb_qubits
-                    )
-                continue
-            if isinstance(op, Measurement):
-                qubit = op.qubit + off
-                measurements.append((qubit, op))
-                branches = _measure(
-                    engine, branches, qubit, op, nb_qubits, atol,
-                    record=True,
-                )
-                continue
-            if isinstance(op, Reset):
-                qubit = op.qubit + off
-                if op.record:
-                    measurements.append((qubit, op))
-                branches = _reset(
-                    engine, branches, qubit, nb_qubits, atol,
-                    record=op.record,
-                )
-                continue
-            raise SimulationError(
-                f"cannot simulate circuit element {type(op).__name__}"
-            )
-    stats = PlanStats(
-        nb_source_ops=nb_source_ops,
-        nb_steps=nb_source_ops,
-        nb_gate_steps=nb_gates,
-        execute_seconds=perf_counter() - t0,
-    )
-    return branches, measurements, end_measured, stats
 
 
 def run_sweep(plan, cols: Mapping, nb_points: int, start=None) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError, UnboundParameterError
 from repro.execution import trajectory as traj
-from repro.execution.dispatch import run_plan, run_unplanned
+from repro.execution.dispatch import run_plan
 from repro.execution.density import initial_density, run_density_plan
 from repro.execution.job import DONE, FAILED, PENDING, Job
 from repro.execution.request import (
@@ -225,33 +225,12 @@ class Executor:
             nb_qubits=nb_qubits,
             compiled=bool(opts.compile),
         ):
-            if not opts.compile:
-                if req.param_values is not None:
-                    # the uncompiled walk reads gate matrices directly,
-                    # so it needs concrete value-carrying gates
-                    from repro.circuit.bound import _materialize
-
-                    circuit = _materialize(circuit, req.param_values)
-                job._running()
-                job._stage = "simulate.execute"
-                branches, measurements, end_measured, stats = (
-                    run_unplanned(
-                        circuit, engine, state, nb_qubits, opts.atol,
-                        inst,
-                    )
-                )
-                job._stats = stats
-                job.timings.execute_seconds = stats.execute_seconds
-                return Simulation._from_run(
-                    nb_qubits, branches, measurements, end_measured,
-                    engine.name, engine=engine, stats=stats,
-                    seed=req.seed,
-                    instrumentation=inst if inst.enabled else None,
-                )
             job._stage = "plan.get"
             t_c = perf_counter()
+            # compile=False is an unfused plan through the same loop
             plan, stats = get_plan(
-                circuit, engine, opts.dtype, fuse=opts.fuse
+                circuit, engine, opts.dtype,
+                fuse=opts.fuse and opts.compile,
             )
             job.timings.compile_seconds = perf_counter() - t_c
             job._compiled(plan, stats)

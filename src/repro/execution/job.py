@@ -83,8 +83,7 @@ class Job:
         self.id = job_id
         self.request = request
         self.state = PENDING
-        #: the :class:`~repro.simulation.CompiledPlan` once compiled
-        #: (``None`` for uncompiled / walk-the-tree runs).
+        #: the :class:`~repro.simulation.CompiledPlan` once compiled.
         self.plan = None
         #: the captured exception when :attr:`state` is ``FAILED``.
         self.error: Optional[BaseException] = None

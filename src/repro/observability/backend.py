@@ -191,7 +191,7 @@ class InstrumentedBackend:
         dt = perf_counter() - t0
         applies.inc(batch)
         seconds.observe(dt)
-        nbytes.inc(2 * out.nbytes)  # unplanned: full-batch streaming
+        nbytes.inc(2 * out.nbytes)  # no step tables: full-batch streaming
         return out
 
     def apply(
@@ -222,7 +222,7 @@ class InstrumentedBackend:
         dt = perf_counter() - t0
         applies.inc()
         seconds.observe(dt)
-        nbytes.inc(2 * out.nbytes)  # unplanned: full-state streaming
+        nbytes.inc(2 * out.nbytes)  # no step tables: full-state streaming
         return out
 
     def __repr__(self) -> str:

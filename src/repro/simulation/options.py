@@ -53,10 +53,11 @@ class SimulationOptions:
         Default seed (int or :class:`numpy.random.Generator`) for
         shot sampling helpers that do not receive an explicit one.
     compile:
-        When ``True`` (default) the circuit is compiled once into a
+        The circuit always runs as a compiled
         :class:`~repro.simulation.CompiledPlan` (memoized in an LRU
-        cache) and executed through it; ``False`` forces the historical
-        walk-the-op-tree path.
+        cache).  ``True`` (default) compiles it with the ``fuse``
+        setting; ``False`` compiles it with fusion off, the same as
+        ``fuse=False``.
     fuse:
         When compiling, merge adjacent same-qubit one-qubit gates and
         coalesce consecutive diagonal gates (default ``True``).

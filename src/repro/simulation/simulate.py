@@ -22,8 +22,8 @@ The executor compiles the circuit once into a
 :class:`~repro.simulation.plan.CompiledPlan` (memoized in an LRU
 cache) and replays the prepared steps through the single dispatch loop
 in :mod:`repro.execution.dispatch`.
-``SimulationOptions(compile=False)`` selects the historical
-walk-the-op-tree path instead — still through the same executor.
+``SimulationOptions(compile=False)`` compiles the plan with fusion off
+and replays it through that same loop.
 """
 
 from __future__ import annotations
@@ -165,12 +165,9 @@ class Simulation:
         """Compilation/execution statistics
         (:class:`~repro.simulation.plan.PlanStats`) of the run.
 
-        Always populated: compiled runs carry the full plan stats
-        (fusion counts, cache hit/miss, per-stage times); uncompiled
-        runs (``compile=False``) carry a stats object with
-        ``nb_source_ops``/``nb_steps`` equal to the number of executed
-        ops, ``execute_seconds`` measured, and zero compile/signature
-        time (nothing was compiled, so ``cache_hit`` is ``False``)."""
+        Always populated with the full plan stats (fusion counts,
+        cache hit/miss, per-stage times) — ``compile=False`` runs
+        included, since they execute an unfused plan."""
         return self._stats
 
     def report(self):

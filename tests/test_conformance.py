@@ -110,7 +110,7 @@ def test_generator_validates_config():
 
 
 def test_tolerance_families():
-    assert tolerance_for("statevector:sparse/planned") == tolerance_for(
+    assert tolerance_for("statevector:sparse/unfused") == tolerance_for(
         "statevector"
     )
     assert tolerance_for("pass.fuse_1q") == tolerance_for("pass")
@@ -178,9 +178,21 @@ def test_run_conformance_metrics(monkeypatch):
 
 
 class _TransposedKernelBackend(KernelBackend):
-    """KernelBackend applying every unplanned kernel transposed."""
+    """KernelBackend applying every kernel transposed: plan steps are
+    routed through the (transposing) per-gate ``apply``."""
 
     name = "buggy-transposed"
+
+    def apply_planned(self, state, step, nb_qubits):
+        return self.apply(
+            state,
+            step.kernel,
+            step.targets,
+            nb_qubits,
+            step.controls,
+            step.control_states,
+            step.diagonal,
+        )
 
     def apply(
         self,

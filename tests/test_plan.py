@@ -26,6 +26,7 @@ from repro.gates import (
     T,
 )
 from repro.noise import Depolarizing, NoiseModel
+from repro.parameter import Parameter
 from repro.simulation import (
     Backend,
     EinsumBackend,
@@ -45,6 +46,7 @@ from repro.simulation import (
 )
 from repro.simulation.backends import _REGISTRY
 from repro.simulation.plan import GATE
+from tests.test_backends import dense_reference
 
 
 @pytest.fixture(autouse=True)
@@ -88,6 +90,18 @@ def random_circuit(n, depth, rng) -> QCircuit:
             q = int(rng.integers(0, n))
             c.push_back(gates_1q[int(rng.integers(0, len(gates_1q)))](q))
     return c
+
+
+def reference_state(circuit, start) -> np.ndarray:
+    """Independent referee for the plan compiler: every gate of a flat,
+    measurement-free circuit embedded by explicit tensor contraction —
+    no plan, no backend."""
+    state = np.zeros(1 << circuit.nbQubits, dtype=complex)
+    state[int(start, 2)] = 1.0
+    for gate, offset in circuit.operations():
+        assert offset == 0
+        state = dense_reference(state, gate, circuit.nbQubits)
+    return state
 
 
 class TestPlanCache:
@@ -218,13 +232,7 @@ class TestFusion:
         rng = np.random.default_rng(42)
         for trial in range(5):
             c = random_circuit(4, 25, rng)
-            ref = simulate(
-                c,
-                "0000",
-                options=SimulationOptions(
-                    backend="einsum", compile=False
-                ),
-            ).states[0]
+            ref = reference_state(c, "0000")
             for compile_flag in (True, False):
                 got = simulate(
                     c,
@@ -238,16 +246,26 @@ class TestFusion:
                     compile_flag,
                 )
 
-    def test_unfused_plan_is_bit_identical_to_legacy(self):
+    def test_compile_false_is_bit_identical_to_fuse_false(self):
+        # with a mid-circuit measurement and a bound parameter
         rng = np.random.default_rng(3)
-        c = random_circuit(3, 20, rng)
-        a = simulate(
-            c, "000", options=SimulationOptions(fuse=False)
-        ).states[0]
-        b = simulate(
-            c, "000", options=SimulationOptions(compile=False)
-        ).states[0]
-        assert np.array_equal(a, b)
+        theta = Parameter("theta")
+        for _ in range(4):
+            c = random_circuit(3, 20, rng)
+            c.push_back(Measurement(int(rng.integers(0, 3))))
+            c.push_back(RotationY(int(rng.integers(0, 3)), theta))
+            for op, _ in random_circuit(3, 10, rng).operations():
+                c.push_back(op)
+            bound = c.bind({theta: float(rng.normal())})
+            a = bound.simulate("000", options=SimulationOptions(fuse=False))
+            b = bound.simulate(
+                "000", options=SimulationOptions(compile=False)
+            )
+            assert len(a.results) > 1  # the measurement branched
+            assert a.results == b.results
+            assert np.array_equal(a.probabilities, b.probabilities)
+            for x, y in zip(a.states, b.states):
+                assert np.array_equal(x, y)
 
     def test_fusion_disabled_under_noise(self):
         c = QCircuit(1)
@@ -378,14 +396,14 @@ class TestSimulationOptions:
         assert np.array_equal(s.counts(100), s.counts(100, seed=7))
 
     def test_compile_false_still_has_stats(self):
-        # uncompiled runs are measurable too: stats is always populated
+        # compile=False runs an unfused plan, so it carries plan stats
         s = simulate(bell(), "00", options=SimulationOptions(compile=False))
         assert s.stats is not None
         assert s.stats.nb_source_ops == 4  # H, CNOT, 2 measurements
         assert s.stats.nb_gate_steps == 2
         assert s.stats.execute_seconds > 0.0
-        assert not s.stats.cache_hit
-        assert s.stats.compile_seconds == 0.0
+        assert not s.stats.cache_hit  # first call compiles
+        assert s.stats.compile_seconds > 0.0
 
 
 class TestRegistry:

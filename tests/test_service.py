@@ -14,6 +14,7 @@ reusable.
 import json
 import http.client
 import threading
+from time import perf_counter
 
 import pytest
 
@@ -317,7 +318,9 @@ class TestThrottling:
 
 
 def _slow_circuit(nb_qubits=17, layers=60):
-    """A circuit slow enough to out-live a millisecond deadline."""
+    """A circuit slow enough to out-live a millisecond deadline: a
+    full run takes seconds, so a worker that ignored the deadline
+    would visibly delay the next request."""
     circuit = QCircuit(nb_qubits)
     for _ in range(layers):
         for q in range(nb_qubits):
@@ -327,25 +330,42 @@ def _slow_circuit(nb_qubits=17, layers=60):
     return circuit
 
 
+#: Wall-clock budget for the request after a timed-out one.  A
+#: cancelled run frees its worker within one plan step; an uncancelled
+#: run of ``_slow_circuit`` holds it for several seconds.
+FOLLOW_UP_SECONDS = 1.5
+
+
 class TestDeadlines:
     def test_timeout_mid_execution_leaves_executor_reusable(self):
-        body = json.dumps(
-            {"circuit": {"json": circuit_to_dict(_slow_circuit())}}
-        ).encode()
-        with Gateway(ServiceConfig(workers=1, timeout=30.0)) as gw:
-            status, _, payload = post(
-                gw, body, {"X-Timeout": "0.001"}
-            )
-            assert status == 504
-            assert payload["error"]["code"] == "deadline-exceeded"
-            # the same worker (and executor) must serve the next
-            # request normally
-            status, _, payload = post(gw, simulate_body())
-            assert status == 200
-            assert payload["probabilities"] == pytest.approx([1.0])
-            assert gw.metrics.counter(
-                "repro_service_timeouts_total", ""
-            ).total() >= 1
+        circuit = circuit_to_dict(_slow_circuit())
+        for compile_flag in (True, False):
+            body = json.dumps(
+                {
+                    "circuit": {"json": circuit},
+                    "options": {"compile": compile_flag},
+                }
+            ).encode()
+            with Gateway(ServiceConfig(workers=1, timeout=30.0)) as gw:
+                status, _, payload = post(
+                    gw, body, {"X-Timeout": "0.001"}
+                )
+                assert status == 504, compile_flag
+                assert payload["error"]["code"] == "deadline-exceeded"
+                # the same worker (and executor) must serve the next
+                # request normally, and promptly
+                t0 = perf_counter()
+                status, _, payload = post(gw, simulate_body())
+                elapsed = perf_counter() - t0
+                assert status == 200
+                assert payload["probabilities"] == pytest.approx([1.0])
+                assert elapsed < FOLLOW_UP_SECONDS, (
+                    f"compile={compile_flag}: follow-up took "
+                    f"{elapsed:.2f}s; the timed-out run kept its worker"
+                )
+                assert gw.metrics.counter(
+                    "repro_service_timeouts_total", ""
+                ).total() >= 1
 
     def test_bad_timeout_header_is_400(self, gateway):
         status, _, body = post(

@@ -10,7 +10,7 @@ integers, negatives allowed: ``rows.-1.batched_shots_per_sec`` is the
 last row's throughput) and classified two ways:
 
 ``ratio``
-    Machine-independent speedups (planned vs unplanned, swept vs
+    Machine-independent speedups (fused vs unfused plans, swept vs
     recompiled).  Enforced at the base ``--tolerance`` everywhere —
     a 4x speedup should hold on any machine.
 ``absolute``
