@@ -267,8 +267,6 @@ class QCircuit(QObject):
         :attr:`parameters`.  The view shares this circuit — no copy, no
         revision bump — and simulating it reuses this circuit's cached
         compiled plan, only refilling the parametric kernel tables.
-        This replaces the deprecated sweep idiom of mutating
-        ``gate.theta`` in place between ``simulate()`` calls.
 
         >>> from repro import Parameter, QCircuit
         >>> from repro.gates import RotationY
@@ -303,18 +301,7 @@ class QCircuit(QObject):
 
     # -- simulation ---------------------------------------------------------------
 
-    def simulate(
-        self,
-        start="0",
-        options=None,
-        *legacy_args,
-        backend=None,
-        atol=None,
-        dtype=None,
-        seed=None,
-        compile=None,
-        fuse=None,
-    ):
+    def simulate(self, start="0", options=None, *, backend=None):
         """Simulate the circuit from an initial state.
 
         Parameters
@@ -324,13 +311,12 @@ class QCircuit(QObject):
             length ``2**nbQubits``.
         options:
             A :class:`~repro.simulation.SimulationOptions` (or plain
-            dict) holding backend, atol, dtype, seed and compilation
+            dict) holding backend, atol, dtype, seed and fusion
             settings — the unified configuration object shared by every
             simulation entry point.
-        backend, atol, dtype, seed, compile, fuse:
-            Per-field overrides of ``options``.  Passing them without
-            ``options`` is the historical keyword form and emits a
-            :class:`DeprecationWarning` (it keeps working).
+        backend:
+            Overrides ``options.backend``: ``'sparse'`` is the paper's
+            reference engine, ``'kernel'`` the optimized one.
 
         Returns
         -------
@@ -341,44 +327,16 @@ class QCircuit(QObject):
         """
         from repro.simulation.simulate import simulate as _simulate
 
-        return _simulate(
-            self,
-            start,
-            options,
-            *legacy_args,
-            backend=backend,
-            atol=atol,
-            dtype=dtype,
-            seed=seed,
-            compile=compile,
-            fuse=fuse,
-            # this method adds a frame between the user and the shim;
-            # keep deprecation warnings pointing at the user's line
-            _stacklevel=4,
-        )
+        return _simulate(self, start, options, backend=backend)
 
     def counts(
         self, shots: int, start="0", seed=None, backend=None, options=None
     ):
         """Shot-sample the circuit: convenience for
-        ``simulate(start).counts(shots, seed)``."""
-        if backend is not None:
-            import warnings
-
-            warnings.warn(
-                "the backend keyword of counts() is deprecated; pass "
-                "options=SimulationOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            from repro.simulation.options import (
-                resolve_simulation_options,
-            )
-
-            options = resolve_simulation_options(
-                options, (), {}, caller="counts"
-            ).replace(backend=backend)
-        return self.simulate(start, options).counts(shots, seed=seed)
+        ``simulate(start, options, backend=backend).counts(shots, seed)``."""
+        return self.simulate(start, options, backend=backend).counts(
+            shots, seed=seed
+        )
 
     # -- blocks (Grover-style modular drawing) ---------------------------------------
 

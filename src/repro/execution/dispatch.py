@@ -2,7 +2,7 @@
 
 :func:`run_plan` is the one statevector step loop: every
 :func:`~repro.simulation.simulate` run — fused or not
-(``compile=False`` compiles an unfused plan), instrumented or not —
+(``fuse=False`` compiles an unfused plan), instrumented or not —
 replays its compiled plan branch-wise here.  Every ``step.dispatch``
 flight-recorder event, kernel metric, state high-water mark and
 per-step cancellation check the statevector engines emit comes from

@@ -223,14 +223,11 @@ class Executor:
             "simulate",
             backend=engine.name,
             nb_qubits=nb_qubits,
-            compiled=bool(opts.compile),
         ):
             job._stage = "plan.get"
             t_c = perf_counter()
-            # compile=False is an unfused plan through the same loop
             plan, stats = get_plan(
-                circuit, engine, opts.dtype,
-                fuse=opts.fuse and opts.compile,
+                circuit, engine, opts.dtype, fuse=opts.fuse
             )
             job.timings.compile_seconds = perf_counter() - t_c
             job._compiled(plan, stats)
@@ -275,7 +272,7 @@ class Executor:
                 stats.execute_seconds = perf_counter() - t0
             job._stats = stats
             job.timings.execute_seconds = stats.execute_seconds
-            return Simulation._from_run(
+            return Simulation(
                 nb_qubits, branches, measurements, plan.end_measured,
                 plan.engine.name, engine=plan.engine, stats=stats,
                 seed=req.seed,

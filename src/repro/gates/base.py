@@ -41,8 +41,9 @@ __all__ = [
 ]
 
 #: Global counter bumped by every *in-place* mutation of a pushed
-#: operation (gate angle setters, qubit reassignment, measurement
-#: retargeting).  Such mutations never bump a circuit's structural
+#: operation: the ``angle``/``rotation`` setters, the ``qubit``
+#: setters of one-qubit gates, measurements and resets, and in-place
+#: rotation ``fuse``.  Such mutations never bump a circuit's structural
 #: ``revision``, so caches derived from gate state — the IR program's
 #: structural signature, its parameter-slot list — key their entries on
 #: this counter instead of re-walking the op tree per call.

@@ -11,8 +11,6 @@ QCLAB's fusion API used by its derived compilers.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.angle import QAngle, QRotation, turnover
@@ -89,19 +87,6 @@ def _add_symbolic(a, b) -> ParameterExpression:
     return eb + a.theta
 
 
-def _warn_theta_mutation(stacklevel: int = 4) -> None:
-    """The deprecation shim for the in-place sweep idiom."""
-    bump_mutation_epoch()
-    warnings.warn(
-        "mutating gate.theta in place as a sweep idiom is deprecated; "
-        "build the circuit over a repro.Parameter slot and evaluate it "
-        "with QCircuit.bind(values) or sweep(values) — no recompile per "
-        "point",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
 class Phase(QGate1):
     """The phase gate ``P(theta) = diag(1, e^{i theta})``.
 
@@ -163,16 +148,6 @@ class Phase(QGate1):
         """The phase angle in radians."""
         self._require_bound("theta")
         return self._angle.theta
-
-    @theta.setter
-    def theta(self, value: float) -> None:
-        self._set_theta(value)
-
-    def _set_theta(self, value: float) -> None:
-        """Deprecated in-place mutation shim shared with the controlled
-        wrappers (keeps the warning pointing at the user's call site)."""
-        _warn_theta_mutation()
-        self._angle = QAngle(float(value))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -316,16 +291,6 @@ class RotationGate1(QGate1):
         """The rotation angle in radians."""
         self._require_bound("theta")
         return self._rotation.theta
-
-    @theta.setter
-    def theta(self, value: float) -> None:
-        self._set_theta(value)
-
-    def _set_theta(self, value: float) -> None:
-        """Deprecated in-place mutation shim shared with the controlled
-        wrappers (keeps the warning pointing at the user's call site)."""
-        _warn_theta_mutation()
-        self._rotation = QRotation(float(value))
 
     @property
     def cos(self) -> float:
@@ -696,16 +661,6 @@ class RotationGate2(QGate):
         """The rotation angle in radians."""
         self._require_bound("theta")
         return self._rotation.theta
-
-    @theta.setter
-    def theta(self, value: float) -> None:
-        self._set_theta(value)
-
-    def _set_theta(self, value: float) -> None:
-        """Deprecated in-place mutation shim shared with the controlled
-        wrappers (keeps the warning pointing at the user's call site)."""
-        _warn_theta_mutation()
-        self._rotation = QRotation(float(value))
 
     @property
     def is_fixed(self) -> bool:

@@ -252,7 +252,7 @@ class IRProgram:
         first-appearance order (blocks walked recursively).
 
         Cached per :func:`~repro.gates.base.mutation_epoch` — a pushed
-        gate can become concrete in place (the deprecated ``theta``
+        gate can become concrete in place (its ``angle``/``rotation``
         setter), which bumps the epoch and invalidates the cache."""
         from repro.gates.base import mutation_epoch
         from repro.ir.lower import lower

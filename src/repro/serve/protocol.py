@@ -19,8 +19,7 @@ A simulate request body is a JSON object::
       "expectations": ["ZZ", "XI"],     # optional Pauli strings
       "return_state": false,            # include amplitudes in reply
       "options": {"backend": "kernel", "atol": 1e-12,
-                  "dtype": "complex128", "compile": true,
-                  "fuse": true}
+                  "dtype": "complex128", "fuse": true}
     }
 
 ``{"qasm": "..."}`` at the top level is accepted as shorthand for
@@ -35,6 +34,7 @@ an operator decision, not a request knob).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: ``options`` keys a request may set; everything else is operator-only.
-OPTION_KEYS = ("backend", "atol", "dtype", "compile", "fuse")
+OPTION_KEYS = ("backend", "atol", "dtype", "fuse")
 
 #: Service-facing dtype spellings -> numpy complex types.
 _DTYPES = {
@@ -235,9 +235,24 @@ def _parse_options(payload: dict) -> Tuple[SimulationOptions, tuple]:
         raise ServiceError(
             400, "bad-options", "options.backend must be a string"
         )
+    if "atol" in fields:
+        atol = fields["atol"]
+        if (
+            isinstance(atol, bool)
+            or not isinstance(atol, (int, float))
+            or not 0 <= atol < math.inf
+        ):
+            raise ServiceError(
+                400, "bad-options",
+                f"options.atol must be a finite number >= 0, got {atol!r}",
+            )
+    if "fuse" in fields and not isinstance(fields["fuse"], bool):
+        raise ServiceError(
+            400, "bad-options", "options.fuse must be true or false"
+        )
     if "dtype" in fields:
         dt = fields["dtype"]
-        if dt not in _DTYPES:
+        if not isinstance(dt, str) or dt not in _DTYPES:
             raise ServiceError(
                 400, "bad-options",
                 f"options.dtype must be one of {sorted(_DTYPES)}, "
@@ -255,7 +270,6 @@ def _parse_options(payload: dict) -> Tuple[SimulationOptions, tuple]:
         type(options.backend).__name__,
         options.atol,
         np.dtype(options.dtype).name,
-        options.compile,
         options.fuse,
     )
     return options, key

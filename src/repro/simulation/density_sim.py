@@ -98,13 +98,8 @@ def simulate_density(
     start=None,
     noise: Optional[NoiseModel] = None,
     options: Optional[SimulationOptions] = None,
-    *legacy_args,
+    *,
     backend=None,
-    atol: Optional[float] = None,
-    dtype=None,
-    seed=None,
-    compile: Optional[bool] = None,
-    fuse: Optional[bool] = None,
 ) -> DensitySimulation:
     """Exact (noisy) density-matrix simulation of a circuit.
 
@@ -120,10 +115,11 @@ def simulate_density(
         **exactly** (full Kraus sums), readout errors mix branch
         probabilities classically.
     options:
-        A :class:`~repro.simulation.SimulationOptions` — the same
-        object every simulation entry point accepts.  The historical
-        ``backend``/``atol`` keyword and positional forms keep working
-        through a :class:`DeprecationWarning` shim.
+        A :class:`~repro.simulation.SimulationOptions` (or a dict of
+        its fields) — the same object every simulation entry point
+        accepts.
+    backend:
+        Overrides ``options.backend``.
 
     The request executes through the shared
     :class:`~repro.execution.Executor` pipeline: the circuit compiles
@@ -135,30 +131,12 @@ def simulate_density(
     from repro.execution.executor import default_executor
     from repro.execution.request import DENSITY, ExecutionRequest
 
-    if options is not None and not isinstance(
-        options, (SimulationOptions, dict)
-    ):
-        legacy_args = (options,) + tuple(legacy_args)
-        options = None
-    opts = resolve_simulation_options(
-        options,
-        tuple(legacy_args),
-        {
-            "backend": backend,
-            "atol": atol,
-            "dtype": dtype,
-            "seed": seed,
-            "compile": compile,
-            "fuse": fuse,
-        },
-        caller="simulate_density",
-    )
     job = default_executor().submit(
         ExecutionRequest(
             circuit,
             kind=DENSITY,
             start=start,
-            options=opts,
+            options=resolve_simulation_options(options, backend),
             noise=noise,
         )
     )

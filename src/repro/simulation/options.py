@@ -2,23 +2,21 @@
 
 Every simulation entry point — :func:`repro.simulation.simulate`,
 :meth:`repro.circuit.QCircuit.simulate` and
-:func:`repro.simulation.simulate_density` — accepts the same options
-object through the keyword-only ``options=`` argument::
+:func:`repro.simulation.simulate_density` — takes the same options
+object (or a plain dict of its fields) as its ``options`` argument,
+plus a keyword-only ``backend=`` that overrides ``options.backend``::
 
     opts = SimulationOptions(backend='sparse', atol=1e-10)
-    circuit.simulate('00', options=opts)
+    circuit.simulate('00', opts)
+    circuit.simulate('00', backend='kernel')
 
-The historical per-function keyword sets (``backend=``, ``atol=``,
-``dtype=`` passed directly, or positionally after ``start``) keep
-working through a shim that emits :class:`DeprecationWarning`; they are
-resolved into a :class:`SimulationOptions` by
-:func:`resolve_simulation_options`.
+:func:`resolve_simulation_options` turns either form into one
+:class:`SimulationOptions`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -27,11 +25,6 @@ import numpy as np
 from repro.exceptions import SimulationError
 
 __all__ = ["SimulationOptions", "resolve_simulation_options"]
-
-#: Positional order of the legacy ``simulate(circuit, start, backend,
-#: atol, dtype)`` signature, consumed by the compatibility shim.
-_LEGACY_ORDER = ("backend", "atol", "dtype")
-
 
 @dataclass(frozen=True)
 class SimulationOptions:
@@ -52,15 +45,12 @@ class SimulationOptions:
     seed:
         Default seed (int or :class:`numpy.random.Generator`) for
         shot sampling helpers that do not receive an explicit one.
-    compile:
+    fuse:
         The circuit always runs as a compiled
         :class:`~repro.simulation.CompiledPlan` (memoized in an LRU
-        cache).  ``True`` (default) compiles it with the ``fuse``
-        setting; ``False`` compiles it with fusion off, the same as
-        ``fuse=False``.
-    fuse:
-        When compiling, merge adjacent same-qubit one-qubit gates and
-        coalesce consecutive diagonal gates (default ``True``).
+        cache).  ``True`` (default) merges adjacent same-qubit
+        one-qubit gates and coalesces consecutive diagonal gates while
+        compiling; ``False`` compiles one step per source gate.
     trace:
         Tracing for this run: ``True`` records nested timing spans
         into a fresh :class:`~repro.observability.Tracer`, or pass a
@@ -99,7 +89,6 @@ class SimulationOptions:
     atol: float = 1e-12
     dtype: Any = np.complex128
     seed: Any = None
-    compile: bool = True
     fuse: bool = True
     trace: Any = None
     metrics: Any = None
@@ -136,78 +125,32 @@ class SimulationOptions:
             self, "min_shots_per_worker", int(self.min_shots_per_worker)
         )
 
-    @property
-    def use_plan(self) -> bool:
-        """Alias of :attr:`compile` (QuTiP-style naming)."""
-        return self.compile
-
     def replace(self, **changes) -> "SimulationOptions":
         """A copy of the options with the given fields replaced."""
         return dataclasses.replace(self, **changes)
 
 
 def resolve_simulation_options(
-    options: Optional[SimulationOptions],
-    legacy_args: tuple = (),
-    legacy_kwargs: Optional[dict] = None,
-    caller: str = "simulate",
-    stacklevel: int = 3,
+    options=None, backend=None
 ) -> SimulationOptions:
-    """Merge new-style ``options`` with legacy positional/keyword forms.
+    """Normalize ``options`` (``None``, a dict of fields or a
+    :class:`SimulationOptions`) and apply a ``backend`` override.
 
-    ``legacy_args`` are extra positional arguments after ``start``
-    (historically ``backend, atol, dtype``); ``legacy_kwargs`` are
-    explicitly-passed old keywords (values of ``None`` mean "not
-    given").  Legacy forms resolve onto a :class:`SimulationOptions`
-    and emit a single :class:`DeprecationWarning`, except when
-    ``options`` is also provided — then explicit keywords silently
-    override the options object (the supported new-style idiom).
-
-    ``stacklevel`` must make the warning point at the *user's* call
-    site: the default 3 skips this function plus one driver frame
-    (``simulate``/``simulate_density``); wrappers that add a frame
-    (``QCircuit.simulate``) pass one more.  Getting this right is what
-    makes Python's default once-per-location filter deduplicate the
-    warning per call site instead of per library line.
+    >>> opts = resolve_simulation_options({"atol": 1e-9}, backend="sparse")
+    >>> opts.backend, opts.atol
+    ('sparse', 1e-09)
     """
-    legacy_kwargs = {
-        k: v for k, v in (legacy_kwargs or {}).items() if v is not None
-    }
-    if legacy_args:
-        if len(legacy_args) > len(_LEGACY_ORDER):
-            raise TypeError(
-                f"{caller}() takes at most {2 + len(_LEGACY_ORDER)} "
-                f"positional arguments"
-            )
-        for name, value in zip(_LEGACY_ORDER, legacy_args):
-            if name in legacy_kwargs:
-                raise TypeError(
-                    f"{caller}() got multiple values for argument {name!r}"
-                )
-            legacy_kwargs[name] = value
-        warnings.warn(
-            f"positional backend/atol/dtype arguments to {caller}() are "
-            "deprecated; pass options=SimulationOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
+    if options is None:
+        opts = SimulationOptions()
+    elif isinstance(options, SimulationOptions):
+        opts = options
+    elif isinstance(options, dict):
+        opts = SimulationOptions(**options)
+    else:
+        raise SimulationError(
+            "options must be a SimulationOptions (or dict), got "
+            f"{type(options).__name__}"
         )
-    elif legacy_kwargs and options is None:
-        names = ", ".join(sorted(legacy_kwargs))
-        warnings.warn(
-            f"the {names} keyword(s) of {caller}() are deprecated; pass "
-            "options=SimulationOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    base = options if options is not None else SimulationOptions()
-    if not isinstance(base, SimulationOptions):
-        if isinstance(base, dict):
-            base = SimulationOptions(**base)
-        else:
-            raise SimulationError(
-                "options must be a SimulationOptions (or dict), got "
-                f"{type(base).__name__}"
-            )
-    if legacy_kwargs:
-        base = base.replace(**legacy_kwargs)
-    return base
+    if backend is not None:
+        opts = opts.replace(backend=backend)
+    return opts

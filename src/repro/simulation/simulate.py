@@ -22,13 +22,12 @@ The executor compiles the circuit once into a
 :class:`~repro.simulation.plan.CompiledPlan` (memoized in an LRU
 cache) and replays the prepared steps through the single dispatch loop
 in :mod:`repro.execution.dispatch`.
-``SimulationOptions(compile=False)`` compiles the plan with fusion off
+``SimulationOptions(fuse=False)`` compiles the plan with fusion off
 and replays it through that same loop.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -62,8 +61,7 @@ class Simulation:
 
     Simulations come from :func:`simulate` /
     :meth:`~repro.circuit.QCircuit.simulate` (or, one level down, from
-    a finished :class:`~repro.execution.Job`); constructing one by hand
-    is deprecated.
+    a finished :class:`~repro.execution.Job`).
     """
 
     def __init__(
@@ -78,37 +76,6 @@ class Simulation:
         seed=None,
         instrumentation=None,
     ):
-        warnings.warn(
-            "constructing Simulation(...) directly is deprecated; "
-            "simulations are produced by simulate() / "
-            "QCircuit.simulate() (or Executor.submit(...).result())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(
-            nb_qubits,
-            branches,
-            measurements,
-            end_measured,
-            backend_name,
-            engine=engine,
-            stats=stats,
-            seed=seed,
-            instrumentation=instrumentation,
-        )
-
-    def _init(
-        self,
-        nb_qubits,
-        branches,
-        measurements,
-        end_measured,
-        backend_name,
-        engine=None,
-        stats=None,
-        seed=None,
-        instrumentation=None,
-    ):
         self._nb_qubits = nb_qubits
         self._branches = branches
         self._measurements = measurements  # [(qubit, Measurement)] recorded
@@ -118,35 +85,6 @@ class Simulation:
         self._stats = stats
         self._seed = seed
         self._instrumentation = instrumentation
-
-    @classmethod
-    def _from_run(
-        cls,
-        nb_qubits,
-        branches,
-        measurements,
-        end_measured,
-        backend_name,
-        engine=None,
-        stats=None,
-        seed=None,
-        instrumentation=None,
-    ) -> "Simulation":
-        """Internal constructor used by the executor pipelines —
-        bypasses the deprecation shim on :meth:`__init__`."""
-        sim = object.__new__(cls)
-        sim._init(
-            nb_qubits,
-            branches,
-            measurements,
-            end_measured,
-            backend_name,
-            engine=engine,
-            stats=stats,
-            seed=seed,
-            instrumentation=instrumentation,
-        )
-        return sim
 
     # -- basic accessors ----------------------------------------------------
 
@@ -166,7 +104,7 @@ class Simulation:
         (:class:`~repro.simulation.plan.PlanStats`) of the run.
 
         Always populated with the full plan stats (fusion counts,
-        cache hit/miss, per-stage times) — ``compile=False`` runs
+        cache hit/miss, per-stage times) — ``fuse=False`` runs
         included, since they execute an unfused plan."""
         return self._stats
 
@@ -375,14 +313,8 @@ def simulate(
     circuit,
     start="0",
     options: Optional[SimulationOptions] = None,
-    *legacy_args,
+    *,
     backend=None,
-    atol: Optional[float] = None,
-    dtype=None,
-    seed=None,
-    compile: Optional[bool] = None,
-    fuse: Optional[bool] = None,
-    _stacklevel: int = 3,
 ):
     """Simulate a :class:`~repro.circuit.QCircuit`.
 
@@ -393,16 +325,12 @@ def simulate(
     :class:`Simulation` from the finished job — compilation, dispatch
     and instrumentation all happen inside the executor pipeline.
 
-    Configuration lives in ``options``
-    (:class:`~repro.simulation.SimulationOptions`); the historical
-    ``backend``/``atol``/``dtype`` keyword and positional forms keep
-    working through a :class:`DeprecationWarning` shim.  See
+    Configuration lives in ``options`` (a
+    :class:`~repro.simulation.SimulationOptions` or a dict of its
+    fields); ``backend=`` overrides ``options.backend``, the paper's
+    reference-vs-optimized switch.  See
     :meth:`repro.circuit.QCircuit.simulate` for the parameters; this is
     the underlying free function.
-
-    ``_stacklevel`` is internal: wrappers that add a call frame (the
-    ``QCircuit.simulate`` method) bump it so deprecation warnings point
-    at the user's call site, firing once per call site.
 
     Parametric circuits simulate through their bound view: pass a
     :class:`~repro.circuit.bound.BoundCircuit` (from
@@ -422,31 +350,11 @@ def simulate(
     if isinstance(circuit, BoundCircuit):
         param_values = circuit.values
         circuit = circuit.base
-    if options is not None and not isinstance(
-        options, (SimulationOptions, dict)
-    ):
-        # legacy positional call: simulate(circuit, start, backend, ...)
-        legacy_args = (options,) + tuple(legacy_args)
-        options = None
-    opts = resolve_simulation_options(
-        options,
-        tuple(legacy_args),
-        {
-            "backend": backend,
-            "atol": atol,
-            "dtype": dtype,
-            "seed": seed,
-            "compile": compile,
-            "fuse": fuse,
-        },
-        caller="simulate",
-        stacklevel=_stacklevel,
-    )
     job = default_executor().submit(
         ExecutionRequest(
             circuit,
             start=start,
-            options=opts,
+            options=resolve_simulation_options(options, backend),
             param_values=param_values,
         )
     )

@@ -8,9 +8,8 @@ vectorized application across all ``P`` points — concrete steps
 broadcast their one kernel over the batch, parametric steps apply a
 per-point kernel stack via the backends' ``apply_planned_sweep`` hook.
 
-This replaces both the deprecated mutate-``gate.theta``-and-resimulate
-idiom and the bind-per-point loop when all points are known up front
-(a VQE line search, a dissociation curve, a phase diagram).
+This replaces the bind-per-point loop when all points are known up
+front (a VQE line search, a dissociation curve, a phase diagram).
 """
 
 from __future__ import annotations
@@ -146,9 +145,7 @@ def sweep(
     from repro.execution.executor import default_executor
     from repro.execution.request import SWEEP, ExecutionRequest
 
-    opts = resolve_simulation_options(
-        options, (), {}, caller="sweep"
-    )
+    opts = resolve_simulation_options(options)
     job = default_executor().submit(
         ExecutionRequest(
             circuit,

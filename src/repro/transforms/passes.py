@@ -13,7 +13,6 @@ nothing fuses across).
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -36,29 +35,13 @@ def flatten(circuit: QCircuit) -> QCircuit:
     """Expand nested sub-circuits into a flat circuit on absolute qubits.
 
     Every element is copied via its ``shifted`` protocol, so the result
-    shares no mutable state with the input.
-
-    .. deprecated::
-        Flattening a *nested* circuit by hand is no longer needed:
-        every consumer (simulation, transforms, exporters) lowers
-        through :func:`repro.ir.lower` and flattens on the fly with
-        per-revision caching.  Materializing a flat copy of a nested
-        circuit forfeits that cache; lower to an
-        :class:`~repro.ir.IRProgram` instead.
+    shares no mutable state with the input.  Consumers that only need
+    the flat op stream can read :func:`repro.ir.lower` directly, which
+    is cached per revision and copies nothing.
     """
     from repro.ir.lower import lower
 
-    program = lower(circuit)
-    if any(isinstance(op, QCircuit) for op in circuit):
-        warnings.warn(
-            "transforms.flatten on a nested circuit is deprecated; "
-            "consumers flatten on the fly via repro.ir.lower (cached "
-            "per revision) — lower(circuit) gives the flat op stream "
-            "without materializing a copy",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return program.to_circuit()
+    return lower(circuit).to_circuit()
 
 
 def gate_counts(circuit: QCircuit) -> Counter:

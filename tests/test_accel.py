@@ -170,15 +170,15 @@ class TestStridedConformance:
     """Strided vs kernel across the planned x batched grid."""
 
     @pytest.mark.parametrize("circuit", CIRCUITS)
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_statevector_matches_kernel(self, circuit, compiled):
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_statevector_matches_kernel(self, circuit, fuse):
         ref = simulate(
             circuit, "0" * circuit.nbQubits,
-            options=SimulationOptions(backend="kernel", compile=compiled),
+            options=SimulationOptions(backend="kernel", fuse=fuse),
         )
         got = simulate(
             circuit, "0" * circuit.nbQubits,
-            options=SimulationOptions(backend="strided", compile=compiled),
+            options=SimulationOptions(backend="strided", fuse=fuse),
         )
         assert (
             np.abs(got.states[0] - ref.states[0]).max() <= TOL

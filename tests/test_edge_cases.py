@@ -1,5 +1,7 @@
 """Edge-case coverage for guards and less-travelled paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,11 @@ class TestCountsGuards:
         state = np.array([1.0 + 0j])
         branches = [Branch(1.0, state, "0" * nb_measurements)]
         measurements = [(0, Measurement(0))] * nb_measurements
-        return Simulation._from_run(1, branches, measurements, {}, "kernel")
+        return Simulation(1, branches, measurements, {}, "kernel")
 
-    def test_direct_constructor_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
+    def test_direct_constructor_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sim = Simulation(1, [], [], {}, "kernel")
         assert sim.nbBranches == 0
 

@@ -132,7 +132,9 @@ class TestCPhase:
     def test_theta_accessors(self):
         g = CPhase(0, 1, 0.4)
         assert g.theta == pytest.approx(0.4)
-        g.theta = 0.9
+        with pytest.raises(AttributeError):
+            g.theta = 0.9
+        g.gate.angle = 0.9
         assert g.theta == pytest.approx(0.9)
         assert g.angle.theta == pytest.approx(0.9)
 
@@ -175,8 +177,11 @@ class TestControlledRotations:
         )
 
     def test_theta_setter(self):
+        # theta is read-only; the wrapped gate's rotation setter mutates
         g = CRotationX(0, 1, 0.4)
-        g.theta = 0.5
+        with pytest.raises(AttributeError):
+            g.theta = 0.5
+        g.gate.rotation = 0.5
         assert g.rotation.theta == pytest.approx(0.5)
 
 

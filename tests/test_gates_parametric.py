@@ -45,11 +45,14 @@ class TestPhase:
         assert Phase(0, QAngle(0.7)).theta == pytest.approx(0.7)
 
     def test_theta_setter(self):
+        # theta is read-only; the angle setter mutates in place
         p = Phase(0)
-        p.theta = 1.3
-        assert p.theta == pytest.approx(1.3)
+        with pytest.raises(AttributeError):
+            p.theta = 1.3
         p.angle = QAngle(0.4)
         assert p.theta == pytest.approx(0.4)
+        p.angle = 1.3
+        assert p.theta == pytest.approx(1.3)
 
     def test_fuse(self):
         p = Phase(0, 0.3)
@@ -108,7 +111,9 @@ class TestRotations1Q:
     def test_theta_setter_and_accessors(self):
         r = RotationY(0)
         assert r.theta == 0.0
-        r.theta = 0.6
+        with pytest.raises(AttributeError):
+            r.theta = 0.6
+        r.rotation = 0.6
         assert r.cos == pytest.approx(math.cos(0.3))
         assert r.sin == pytest.approx(math.sin(0.3))
         r.rotation = QRotation(0.2)
@@ -226,7 +231,9 @@ class TestRotations2Q:
 
     def test_theta_setter(self):
         g = RotationXX(0, 1, 0.1)
-        g.theta = 0.9
+        with pytest.raises(AttributeError):
+            g.theta = 0.9
+        g.rotation = 0.9
         assert g.theta == pytest.approx(0.9)
         g.rotation = QRotation(0.2)
         assert g.theta == pytest.approx(0.2)

@@ -352,19 +352,16 @@ class TestPassManager:
         assert isinstance(out, IRProgram)
 
 
-# -- circuit-level wrappers and deprecation (satellite) ----------------------
+# -- circuit-level wrappers --------------------------------------------------
 
 
 class TestTransformsWrappers:
-    def test_flatten_warns_on_nested_circuits_only(self):
-        nested = w.nested_circuit(True)
-        with pytest.warns(DeprecationWarning, match="repro.ir.lower"):
-            flat = flatten(nested)
-        assert len(flat) == 10
-        flat_in = w.bell_circuit(True)
+    def test_flatten_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flatten(flat_in)  # flat circuits stay warning-free
+            flat = flatten(w.nested_circuit(True))
+            flatten(w.bell_circuit(True))
+        assert len(flat) == 10
 
     def test_optimize_runs_through_ir(self):
         c = QCircuit(2)

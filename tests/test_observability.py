@@ -407,11 +407,11 @@ class TestSimulationHooks:
         assert report.stats is sim.stats
         assert report.wall_seconds > 0  # falls back to PlanStats times
 
-    def test_compile_false_instrumented(self):
+    def test_fuse_false_instrumented(self):
         sim = simulate(
             bell(),
             "00",
-            options=SimulationOptions(compile=False, trace=True),
+            options=SimulationOptions(fuse=False, trace=True),
         )
         assert sim.stats is not None
         assert sim.stats.nb_source_ops == 4
@@ -558,53 +558,58 @@ class TestOverheadGuard:
         )
 
 
-# -- deprecation shims under instrumentation ---------------------------------
+# -- the one simulate(circuit, start, options, *, backend) surface ----------
+
+
+def _no_warnings(fn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn()
 
 
 class TestDeprecationShims:
-    def test_warning_points_at_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate(bell(), "00", backend="kernel")
-        (w,) = [x for x in caught if x.category is DeprecationWarning]
-        assert w.filename == __file__
+    """The removed shims stay removed: ``backend=`` is a first-class
+    keyword on every entry point, the historical positional and
+    per-field keyword forms are plain ``TypeError``s."""
 
-    def test_method_warning_points_at_caller(self):
-        # QCircuit.simulate adds a frame; stacklevel must skip it
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bell().simulate("00", backend="kernel")
-        (w,) = [x for x in caught if x.category is DeprecationWarning]
-        assert w.filename == __file__
+    def test_backend_keyword_does_not_warn(self):
+        sim = _no_warnings(lambda: simulate(bell(), "00", backend="sparse"))
+        assert sim.backend == "sparse"
 
-    def test_counts_backend_warning_points_at_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bell().counts(10, start="00", seed=0, backend="kernel")
-        dep = [x for x in caught if x.category is DeprecationWarning]
-        assert len(dep) == 1
-        assert dep[0].filename == __file__
+    def test_method_backend_keyword_does_not_warn(self):
+        sim = _no_warnings(lambda: bell().simulate("00", backend="sparse"))
+        assert sim.backend == "sparse"
 
-    def test_fires_once_per_call_site(self):
-        # with the default once-per-location filter, a loop over one
-        # call site warns exactly once
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(3):
-                bell().simulate("00", backend="kernel")
-        dep = [x for x in caught if x.category is DeprecationWarning]
-        assert len(dep) == 1
+    def test_counts_backend_does_not_warn(self):
+        got = _no_warnings(
+            lambda: bell().counts(10, start="00", seed=0, backend="sparse")
+        )
+        assert got.sum() == 10
 
-    def test_instrumented_runs_do_not_swallow_or_duplicate(self):
+    def test_density_backend_does_not_warn(self):
+        _no_warnings(lambda: simulate_density(bell(), backend="kernel"))
+
+    def test_backend_keyword_overrides_options(self):
+        sim = simulate(bell(), "00", {"backend": "sparse"}, backend="kernel")
+        assert sim.backend == "kernel"
         with instrument():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                simulate(bell(), "00", backend="kernel")
-            dep = [
-                x for x in caught if x.category is DeprecationWarning
-            ]
-            assert len(dep) == 1
-            assert dep[0].filename == __file__
+            sim = bell().simulate("00", backend="sparse")
+        assert sim.backend == "sparse"
+
+    def test_legacy_positional_form_raises(self):
+        with pytest.raises(TypeError):
+            simulate(bell(), "00", "sparse", 1e-10)
+        with pytest.raises(TypeError):
+            bell().simulate("00", "sparse", 1e-10)
+
+    def test_legacy_keywords_raise(self):
+        for kw in ("atol", "dtype", "seed", "compile", "fuse"):
+            with pytest.raises(TypeError):
+                simulate(bell(), "00", **{kw: None})
+            with pytest.raises(TypeError):
+                bell().simulate("00", **{kw: None})
+            with pytest.raises(TypeError):
+                simulate_density(bell(), **{kw: None})
 
     def test_trace_options_do_not_warn(self):
         with warnings.catch_warnings():

@@ -5,8 +5,9 @@ constructors, :class:`~repro.parameter.Parameter` expression algebra,
 ``QCircuit.bind`` / ``QCircuit.sweep`` differential equality against
 recompile-per-point across every statevector backend, the plan-cache
 guarantee (zero recompiles across a 100-point sweep of a fixed ansatz),
-symbolic pass semantics, the deprecation of in-place ``gate.theta``
-mutation, and the conformance generator's parametric mode.
+symbolic pass semantics, the read-only ``gate.theta`` accessor (the
+``angle``/``rotation`` setters are the one in-place mutation path), and
+the conformance generator's parametric mode.
 """
 
 import warnings
@@ -379,21 +380,31 @@ class TestSymbolicPasses:
         assert np.allclose(got, ref.simulate("0").states[0])
 
 
-# -- deprecation of in-place theta mutation ----------------------------------
+# -- theta is read-only; rotation/angle setters mutate in place -------------
 
 
 class TestThetaDeprecation:
-    def test_setter_warns_and_still_works(self):
-        g = RotationX(0, 0.1)
-        with pytest.warns(DeprecationWarning, match="bind"):
-            g.theta = 0.9
-        assert g.theta == pytest.approx(0.9)
+    def test_theta_is_read_only(self):
+        for g in (
+            RotationX(0, 0.1), RotationXX(0, 1, 0.1), Phase(0, 0.1),
+            CRotationZ(0, 1, 0.1), CPhase(0, 1, 0.1),
+        ):
+            with pytest.raises(AttributeError):
+                g.theta = 0.9
+            assert g.theta == pytest.approx(0.1)
 
-    def test_controlled_setter_warns(self):
-        g = CRotationZ(0, 1, 0.1)
-        with pytest.warns(DeprecationWarning):
-            g.theta = 0.9
-        assert g.theta == pytest.approx(0.9)
+    def test_rotation_setter_invalidates_plan(self):
+        p = Parameter("t")
+        g = RotationY(0, p)
+        c = QCircuit(1)
+        c.push_back(g)
+        assert c.parameters == (p,)
+        c.bind({p: 0.3}).simulate("0")
+        g.rotation = QRotation(np.pi)  # the slot becomes concrete
+        assert c.parameters == ()
+        s = c.simulate("0")
+        assert not s.stats.cache_hit
+        assert np.allclose(abs(s.states[0]), [0.0, 1.0])
 
     def test_bind_emits_no_warning(self):
         p = Parameter("t")

@@ -1,8 +1,8 @@
 """Compiled execution plans: caching, invalidation, fusion, options.
 
 Covers the compile-then-execute layer (:mod:`repro.simulation.plan`),
-the unified :class:`SimulationOptions` API with its deprecation shims,
-and the public backend registry.
+the unified :class:`SimulationOptions` API, and the public backend
+registry.
 """
 
 import warnings
@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.angle import QRotation
 from repro.circuit import Barrier, Measurement, QCircuit, Reset
 from repro.exceptions import SimulationError
 from repro.gates import (
@@ -129,7 +130,7 @@ class TestPlanCache:
         c.push_back(ry)
         sig1 = circuit_signature(c)
         c.simulate("0")
-        ry.theta = 1.5
+        ry.rotation = QRotation(1.5)
         assert circuit_signature(c) != sig1
         s = c.simulate("0")
         assert not s.stats.cache_hit
@@ -233,20 +234,15 @@ class TestFusion:
         for trial in range(5):
             c = random_circuit(4, 25, rng)
             ref = reference_state(c, "0000")
-            for compile_flag in (True, False):
+            for fuse in (True, False):
                 got = simulate(
                     c,
                     "0000",
-                    options=SimulationOptions(
-                        backend=backend, compile=compile_flag
-                    ),
+                    options=SimulationOptions(backend=backend, fuse=fuse),
                 ).states[0]
-                assert np.allclose(got, ref, atol=1e-12), (
-                    trial,
-                    compile_flag,
-                )
+                assert np.allclose(got, ref, atol=1e-12), (trial, fuse)
 
-    def test_compile_false_is_bit_identical_to_fuse_false(self):
+    def test_unfused_plan_matches_fused_plan(self):
         # with a mid-circuit measurement and a bound parameter
         rng = np.random.default_rng(3)
         theta = Parameter("theta")
@@ -257,15 +253,14 @@ class TestFusion:
             for op, _ in random_circuit(3, 10, rng).operations():
                 c.push_back(op)
             bound = c.bind({theta: float(rng.normal())})
-            a = bound.simulate("000", options=SimulationOptions(fuse=False))
-            b = bound.simulate(
-                "000", options=SimulationOptions(compile=False)
-            )
+            a = bound.simulate("000", SimulationOptions(fuse=False))
+            b = bound.simulate("000", SimulationOptions(fuse=True))
+            assert a.stats.nb_steps > b.stats.nb_steps  # fusion merged
             assert len(a.results) > 1  # the measurement branched
             assert a.results == b.results
-            assert np.array_equal(a.probabilities, b.probabilities)
+            assert np.allclose(a.probabilities, b.probabilities, atol=1e-12)
             for x, y in zip(a.states, b.states):
-                assert np.array_equal(x, y)
+                assert np.allclose(x, y, atol=1e-12)
 
     def test_fusion_disabled_under_noise(self):
         c = QCircuit(1)
@@ -293,10 +288,8 @@ class TestPlanExecution:
         c.push_back(CNOT(0, 1))
         c.push_back(Measurement(0))
         c.push_back(Reset(1))
-        for compile_flag in (True, False):
-            s = simulate(
-                c, "00", options=SimulationOptions(compile=compile_flag)
-            )
+        for fuse in (True, False):
+            s = simulate(c, "00", options=SimulationOptions(fuse=fuse))
             assert sorted(s.results) == ["0", "1"]
             assert np.allclose(s.probabilities, [0.5, 0.5])
 
@@ -328,12 +321,12 @@ class TestPlanExecution:
         )
         assert np.allclose(m, cnot @ np.kron(h, np.eye(2)))
 
-    def test_paper_examples_identical_with_and_without_compile(self):
+    def test_paper_examples_identical_fused_and_unfused(self):
         from repro.algorithms.teleportation import teleportation_circuit
 
         qtc = teleportation_circuit()
         a = qtc.simulate("000")
-        b = qtc.simulate("000", options=SimulationOptions(compile=False))
+        b = qtc.simulate("000", options=SimulationOptions(fuse=False))
         assert a.results == b.results
         assert np.array_equal(a.probabilities, b.probabilities)
         for x, y in zip(a.states, b.states):
@@ -346,7 +339,7 @@ class TestSimulationOptions:
         assert o.backend == "kernel"
         assert o.atol == 1e-12
         assert o.dtype is np.complex128
-        assert o.compile and o.fuse and o.use_plan
+        assert o.fuse
 
     def test_validation(self):
         with pytest.raises(SimulationError):
@@ -356,16 +349,6 @@ class TestSimulationOptions:
 
     def test_dict_accepted(self):
         s = simulate(bell(), "00", options={"backend": "sparse"})
-        assert s.backend == "sparse"
-
-    def test_legacy_keyword_warns(self):
-        with pytest.warns(DeprecationWarning):
-            s = simulate(bell(), "00", backend="sparse")
-        assert s.backend == "sparse"
-
-    def test_legacy_positional_warns(self):
-        with pytest.warns(DeprecationWarning):
-            s = simulate(bell(), "00", "sparse", 1e-10)
         assert s.backend == "sparse"
 
     def test_override_with_options_does_not_warn(self):
@@ -379,10 +362,6 @@ class TestSimulationOptions:
             )
         assert s.backend == "einsum"
 
-    def test_density_legacy_keyword_warns(self):
-        with pytest.warns(DeprecationWarning):
-            simulate_density(bell(), noise=None, backend="sparse")
-
     def test_all_entry_points_share_keywords(self):
         opts = SimulationOptions(backend="sparse", atol=1e-10)
         c = bell()
@@ -395,9 +374,9 @@ class TestSimulationOptions:
         s = c.simulate("00", options=SimulationOptions(seed=7))
         assert np.array_equal(s.counts(100), s.counts(100, seed=7))
 
-    def test_compile_false_still_has_stats(self):
-        # compile=False runs an unfused plan, so it carries plan stats
-        s = simulate(bell(), "00", options=SimulationOptions(compile=False))
+    def test_fuse_false_still_has_stats(self):
+        # fuse=False runs an unfused plan, so it carries plan stats
+        s = simulate(bell(), "00", options=SimulationOptions(fuse=False))
         assert s.stats is not None
         assert s.stats.nb_source_ops == 4  # H, CNOT, 2 measurements
         assert s.stats.nb_gate_steps == 2

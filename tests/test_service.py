@@ -122,6 +122,60 @@ class TestProtocolErrors:
         assert status == 400
         assert body["error"]["code"] == "bad-options"
 
+    def test_compile_option_is_400(self, gateway):
+        status, _, body = post(
+            gateway, simulate_body(options={"compile": False})
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad-options"
+        assert "compile" in body["error"]["message"]
+        assert body["error"]["detail"]["allowed"] == [
+            "backend", "atol", "dtype", "fuse",
+        ]
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"atol": "1e-3"},
+            {"atol": None},
+            {"atol": [1]},
+            {"atol": True},
+            {"atol": -1.0},
+            {"atol": float("nan")},
+            {"atol": float("inf")},
+            {"fuse": "false"},
+            {"fuse": "no"},
+            {"fuse": 0},
+            {"fuse": None},
+            {"dtype": ["complex64"]},
+            {"dtype": {}},
+            {"backend": None},
+        ],
+        ids=repr,
+    )
+    def test_badly_typed_option_is_400(self, gateway, options):
+        requests = gateway.metrics.counter(
+            "repro_service_requests_total", ""
+        )
+        before = requests.value(route="/v1/simulate", status="400")
+        status, _, body = post(gateway, simulate_body(options=options))
+        assert status == 400
+        assert body["error"]["code"] == "bad-options"
+        assert requests.value(
+            route="/v1/simulate", status="400"
+        ) == before + 1
+
+    def test_well_typed_options_are_accepted(self, gateway):
+        for options in (
+            {"atol": 0},
+            {"atol": 1e-10},
+            {"fuse": False},
+            {"fuse": True, "dtype": "complex64", "backend": "sparse"},
+        ):
+            status, _, body = post(gateway, simulate_body(options=options))
+            assert status == 200, (options, body)
+            assert body["probabilities"] == pytest.approx([1.0])
+
     def test_bad_expectation_string_is_400(self, gateway):
         status, _, body = post(
             gateway, simulate_body(expectations=["ZQ"])
@@ -339,18 +393,18 @@ FOLLOW_UP_SECONDS = 1.5
 class TestDeadlines:
     def test_timeout_mid_execution_leaves_executor_reusable(self):
         circuit = circuit_to_dict(_slow_circuit())
-        for compile_flag in (True, False):
+        for fuse in (True, False):
             body = json.dumps(
                 {
                     "circuit": {"json": circuit},
-                    "options": {"compile": compile_flag},
+                    "options": {"fuse": fuse},
                 }
             ).encode()
             with Gateway(ServiceConfig(workers=1, timeout=30.0)) as gw:
                 status, _, payload = post(
                     gw, body, {"X-Timeout": "0.001"}
                 )
-                assert status == 504, compile_flag
+                assert status == 504, fuse
                 assert payload["error"]["code"] == "deadline-exceeded"
                 # the same worker (and executor) must serve the next
                 # request normally, and promptly
@@ -360,7 +414,7 @@ class TestDeadlines:
                 assert status == 200
                 assert payload["probabilities"] == pytest.approx([1.0])
                 assert elapsed < FOLLOW_UP_SECONDS, (
-                    f"compile={compile_flag}: follow-up took "
+                    f"fuse={fuse}: follow-up took "
                     f"{elapsed:.2f}s; the timed-out run kept its worker"
                 )
                 assert gw.metrics.counter(
@@ -448,6 +502,26 @@ class TestHTTPServer:
             resp = conn.getresponse()
             assert resp.status == 200
             assert b"repro_service_requests_total" in resp.read()
+            conn.close()
+
+    def test_badly_typed_option_is_400_over_the_wire(self):
+        with start_in_thread(ServiceConfig(port=0, workers=1)) as handle:
+            conn = http.client.HTTPConnection(
+                handle.host, handle.port, timeout=10
+            )
+            conn.request(
+                "POST", "/v1/simulate",
+                simulate_body(options={"atol": "1e-3"}),
+            )
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            assert resp.status == 400
+            assert body["error"]["code"] == "bad-options"
+            # the connection survives for the next request
+            conn.request("POST", "/v1/simulate", simulate_body())
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
             conn.close()
 
     def test_malformed_http_is_400(self):

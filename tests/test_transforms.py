@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.angle import QRotation
 from repro.circuit import Measurement, QCircuit
 from repro.exceptions import CircuitError
 from repro.gates import (
@@ -59,7 +60,7 @@ class TestFlatten:
         rx = RotationX(0, 0.5)
         c.push_back(rx)
         flat = flatten(c)
-        flat[0].theta = 1.0
+        flat[0].rotation = QRotation(1.0)
         assert rx.theta == pytest.approx(0.5)
 
     def test_gate_counts(self):
