@@ -16,8 +16,11 @@ hardware-efficient ansatz, the `bench_b7` workload) three ways —
 recompile-per-point, per-point ``bind()``, and the vectorized
 bind-path ``sweep()`` with batched expectations — and asserts the
 bind path (compile once, bind every point) is at least 10x faster
-than recompile-per-point.  Emits ``BENCH_sweep.json``; the point
-count is overridable via ``BENCH_SWEEP_POINTS``.
+than recompile-per-point.  Finally reports the median time of one
+batched ``PauliSum.expectations`` call — a 10-qubit transverse-field
+Ising energy over a swept batch, wide enough that no dense operator
+is involved.  Emits ``BENCH_sweep.json``; the point count is
+overridable via ``BENCH_SWEEP_POINTS``.
 """
 
 import os
@@ -27,11 +30,24 @@ import pytest
 
 from repro import Parameter
 from repro.algorithms import h2_hamiltonian, hardware_efficient_ansatz
-from repro.simulation import clear_plan_cache
+from repro.simulation import PauliSum, clear_plan_cache
 from repro.simulation.state import basis_state
 
 NB_QUBITS = 4
 LAYERS = 2
+#: register width of the batched TFIM energy row
+TFIM_QUBITS = 10
+
+
+def tfim_chain(nb_qubits) -> PauliSum:
+    """Open transverse-field Ising chain ``-sum ZZ - 0.5 sum X``."""
+    pad = "i" * nb_qubits
+    return PauliSum(
+        [(-1.0, pad[:q] + "zz" + pad[q + 2:])
+         for q in range(nb_qubits - 1)]
+        + [(-0.5, pad[:q] + "x" + pad[q + 1:])
+           for q in range(nb_qubits)]
+    )
 
 
 def _points(default=100):
@@ -125,6 +141,19 @@ def test_param_sweep(benchmark):
     vqe_bind_speedup = t_vqe_legacy.best / t_vqe_bound.best
     vqe_speedup = t_vqe_legacy.best / t_vqe_swept.best
 
+    # -- batched energy of a 10-qubit TFIM over a swept batch -------------
+    tfim = tfim_chain(TFIM_QUBITS)
+    tfim_ansatz = hardware_efficient_ansatz(TFIM_QUBITS, 1)
+    tfim_states = tfim_ansatz.sweep(
+        np.random.default_rng(2).uniform(
+            -np.pi, np.pi, size=(nb_points, len(tfim_ansatz.parameters))
+        )
+    ).states
+    t_tfim = timed_run(lambda: tfim.expectations(tfim_states), repeats=7)
+    assert np.allclose(
+        t_tfim.value[:3], [tfim.expectation(s) for s in tfim_states[:3]]
+    )
+
     print()
     print(f"SWEEP | {NB_QUBITS}q/{LAYERS}-layer ansatz, "
           f"{nb_points} points, {nb_params} parameters")
@@ -136,6 +165,8 @@ def test_param_sweep(benchmark):
     print(f"SWEEP | VQE energy sweep: {vqe_bind_speedup:.1f}x "
           f"point-by-point bind, {vqe_speedup:.1f}x vectorized "
           "sweep vs recompile")
+    print(f"SWEEP | {TFIM_QUBITS}q TFIM expectations over {nb_points} "
+          f"points: median {t_tfim.median * 1e3:.2f} ms")
 
     # the acceptance criterion: the bind path (compile once, bind every
     # point — vectorized via sweep()) at least 10x recompile-per-point
@@ -167,6 +198,13 @@ def test_param_sweep(benchmark):
             "swept": t_vqe_swept.as_dict("swept_"),
             "speedup_bind_per_point": vqe_bind_speedup,
             "speedup": vqe_speedup,
+        },
+        "tfim_energy": {
+            "nb_qubits": TFIM_QUBITS,
+            "nb_terms": len(tfim.terms),
+            "nb_points": nb_points,
+            "points_per_s": nb_points / t_tfim.median,
+            **t_tfim.as_dict("tfim_"),
         },
     })
 

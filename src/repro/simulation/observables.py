@@ -2,8 +2,19 @@
 
 Expectation values are the bread and butter of variational workflows;
 this module evaluates ``<psi| P |psi>`` for Pauli strings ``P`` without
-ever materializing the ``2^n x 2^n`` operator: each non-identity letter
-is applied through the optimized backend.
+ever materializing the ``2^n x 2^n`` operator or applying a gate.  One
+evaluator serves single states and ``(P, 2^n)`` sweep batches alike:
+each string is written as ``P = i^ny X^x Z^z`` (``x``/``z`` the qubits
+carrying X-or-Y/Z-or-Y, ``ny`` the number of Y letters), so
+
+    ``(P psi)_i = i^ny (-1)^popcount((i ^ x) & z) psi_{i ^ x}``.
+
+Terms are grouped by ``x``: a group costs one elementwise product of
+half the amplitudes with their bit-flipped partners (``np.flip`` over
+the ``x`` axes of the ``(B, 2, ..., 2)`` tensor, a view rather than a
+gather) plus one product with a matrix of ``+-1`` sign columns, one
+per term.  There are at most ``min(#terms, 2^n)`` groups, so the cost
+never exceeds a dense mat-vec's.
 """
 
 from __future__ import annotations
@@ -13,15 +24,15 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import StateError
-from repro.simulation.backends import default_backend
 from repro.utils.bits import bit_length_for
 from repro.utils.linalg import kron_all
 
 __all__ = ["pauli_matrix", "expectation", "variance", "PauliSum"]
 
-#: register width up to which a :class:`PauliSum` caches its dense
-#: operator (2^8 x 2^8 complex = 1 MiB) for fast repeated expectations.
-_DENSE_CUTOFF = 8
+#: byte budget of one evaluation block: batches are evaluated a few
+#: rows at a time (and sign matrices a few columns at a time) so the
+#: temporaries stay a fraction of the batch instead of its full size.
+_BLOCK_BYTES = 1 << 18
 
 _PAULI = {
     "i": np.eye(2, dtype=np.complex128),
@@ -29,6 +40,9 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "z": np.diag([1.0, -1.0]).astype(np.complex128),
 }
+
+#: the per-qubit sign factor ``(-1)^bit`` of a Z letter
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def _check_pauli(pauli: str) -> str:
@@ -46,22 +60,118 @@ def pauli_matrix(pauli: str) -> np.ndarray:
     return kron_all([_PAULI[c] for c in p])
 
 
-def _apply_pauli(state: np.ndarray, pauli: str) -> np.ndarray:
-    n = bit_length_for(state.size)
-    if len(pauli) != n:
+def _pauli_groups(terms) -> dict:
+    """Group validated ``(coefficient, pauli)`` terms by X-mask.
+
+    Returns ``{x: [(weight, z, imag), ...]}`` with ``x``/``z`` the
+    sorted qubits carrying X-or-Y/Z-or-Y.  For ``x`` non-empty only the
+    amplitudes whose first ``x`` qubit reads 0 are visited: their
+    partners ``i ^ x`` contribute the complex conjugate times
+    ``(-1)^ny``, so a term equals ``weight`` times the real part
+    (``ny`` even) or imaginary part (``ny`` odd) of the half sum, with
+    the factors 2 and ``(-i)^ny`` folded into ``weight``.
+    """
+    groups: dict = {}
+    for coef, p in terms:
+        x = tuple(q for q, c in enumerate(p) if c in "xy")
+        z = tuple(q for q, c in enumerate(p) if c in "yz")
+        ny = p.count("y")
+        weight = float(coef) if ny % 4 < 2 else -float(coef)
+        if x:
+            weight *= 2.0
+        groups.setdefault(x, []).append((weight, z, ny % 2 == 1))
+    return groups
+
+
+def _sign_columns(zs, axes_of, n: int, dtype) -> np.ndarray:
+    """``(2^n, len(zs))`` matrix of ``(-1)^popcount(i & z)`` columns,
+    built by per-qubit ``+-1`` broadcasting.  ``axes_of`` maps a qubit
+    to its axis in the ``n``-qubit layout (``None``: fixed to 0)."""
+    out = np.empty((1 << n, len(zs)), dtype=dtype)
+    for k, z in enumerate(zs):
+        sign = np.ones((1,) * n)
+        for q in z:
+            axis = axes_of(q)
+            if axis is not None:
+                shape = [1] * n
+                shape[axis] = 2
+                sign = sign * _PLUS_MINUS.reshape(shape)
+        out[:, k] = np.broadcast_to(sign, (2,) * n).reshape(-1)
+    return out
+
+
+def _pauli_chunks(terms, n: int):
+    """Yield one evaluation chunk per X-mask group (or per slice of a
+    group whose sign matrix would outgrow :data:`_BLOCK_BYTES`):
+    ``(split, flips, signs, weights, imag)``.
+
+    ``split`` is the first X qubit (``None`` for the diagonal group)
+    and ``flips`` the other X qubits, whose axes get reversed in the
+    partner half.
+    """
+    for x, group in _pauli_groups(terms).items():
+        if x:
+            split, flips, width, dtype = x[0], x[1:], n - 1, np.complex128
+
+            def axes_of(q, split=split):
+                # the split qubit reads 0 in the visited half
+                if q == split:
+                    return None
+                return q if q < split else q - 1
+        else:
+            split, flips, width, dtype = None, (), n, np.float64
+            axes_of = int
+        per = max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize << width))
+        for lo in range(0, len(group), per):
+            chunk = group[lo:lo + per]
+            yield (
+                split,
+                flips,
+                _sign_columns([z for _w, z, _i in chunk], axes_of,
+                              width, dtype),
+                np.array([w for w, _z, _i in chunk]),
+                np.array([i for _w, _z, i in chunk]),
+            )
+
+
+def _pauli_expectations(chunks, states: np.ndarray, n: int) -> np.ndarray:
+    """``sum_k c_k <psi_r| P_k |psi_r>`` for every row ``r`` of a
+    ``(B, 2^n)`` batch, evaluated a block of rows at a time."""
+    nb_rows = states.shape[0]
+    rows = max(1, _BLOCK_BYTES // (16 << n))
+    out = np.zeros(nb_rows)
+    for split, flips, signs, weights, imag in chunks:
+        for lo in range(0, nb_rows, rows):
+            block = np.asarray(states[lo:lo + rows], dtype=np.complex128)
+            b = block.shape[0]
+            if split is None:
+                vals = (block.real ** 2 + block.imag ** 2) @ signs
+            else:
+                view = block.reshape((b,) + (2,) * n)
+                head = (slice(None),) * (1 + split)
+                # after dropping the split axis, qubit q > split sits
+                # at axis q; the flip is a view, not a gather
+                partner = view[head + (1,)]
+                if flips:
+                    partner = np.flip(partner, axis=flips)
+                pairs = view[head + (0,)].conj() * partner
+                acc = pairs.reshape(b, -1) @ signs
+                vals = np.where(imag, acc.imag, acc.real)
+            out[lo:lo + b] += vals @ weights
+    return out
+
+
+def _as_batch(states, n: int, what: str) -> np.ndarray:
+    """``states`` as a ``(B, 2^n)`` array (1-D input is one row)."""
+    s = np.asarray(states)
+    if s.ndim == 1:
+        s = s[None, :]
+    if s.ndim != 2 or s.shape[1] != 1 << n:
         raise StateError(
-            f"Pauli string of length {len(pauli)} does not match "
+            f"{what} of dimension {s.shape[-1]} does not match "
             f"{n} qubit(s)"
         )
-    backend = default_backend()
-    out = state.copy()
-    for q, letter in enumerate(pauli):
-        if letter == "i":
-            continue
-        out = backend.apply(
-            out, _PAULI[letter], [q], n, diagonal=(letter == "z")
-        )
-    return out
+    return s
 
 
 def expectation(state, pauli: str) -> float:
@@ -70,10 +180,16 @@ def expectation(state, pauli: str) -> float:
     >>> expectation([1, 0], 'z')
     1.0
     """
-    psi = np.asarray(state, dtype=np.complex128).ravel()
+    psi = np.asarray(state).ravel()
     p = _check_pauli(pauli)
-    transformed = _apply_pauli(psi, p)
-    return float(np.real(np.vdot(psi, transformed)))
+    n = bit_length_for(psi.size)
+    if len(p) != n:
+        raise StateError(
+            f"Pauli string of length {len(p)} does not match "
+            f"{n} qubit(s)"
+        )
+    chunks = _pauli_chunks([(1.0, p)], n)
+    return float(_pauli_expectations(chunks, psi[None, :], n)[0])
 
 
 def variance(state, pauli: str) -> float:
@@ -101,7 +217,7 @@ class PauliSum:
         self._terms = [
             (float(c), _check_pauli(p)) for c, p in terms
         ]
-        self._dense = None
+        self._chunks = None
 
     @property
     def terms(self):
@@ -117,32 +233,23 @@ class PauliSum:
         """The dense operator (small registers only)."""
         return sum(c * pauli_matrix(p) for c, p in self._terms)
 
-    def _dense_operator(self):
-        """The cached dense operator for small registers (else ``None``).
-
-        Variational loops evaluate the same observable thousands of
-        times; below :data:`_DENSE_CUTOFF` qubits one cached matrix
-        turns each evaluation into a single mat-vec instead of one
-        backend pass per Pauli letter per term.
-        """
-        if self._dense is None and self.nbQubits <= _DENSE_CUTOFF:
-            self._dense = self.matrix()
-        return self._dense
+    def _evaluation_chunks(self):
+        """The evaluator's sign matrices, kept when they total at most
+        :data:`_BLOCK_BYTES` (repeated small-register evaluations then
+        skip rebuilding them) and regenerated per call otherwise."""
+        if self._chunks is not None:
+            return self._chunks
+        n = self.nbQubits
+        chunks = _pauli_chunks(self._terms, n)
+        if len(self._terms) << (n + 3) <= _BLOCK_BYTES:
+            chunks = self._chunks = list(chunks)
+        return chunks
 
     def expectation(self, state) -> float:
         """``sum_k c_k <psi| P_k |psi>``."""
-        dense = self._dense_operator()
-        if dense is not None:
-            psi = np.asarray(state, dtype=np.complex128).ravel()
-            if psi.size != dense.shape[0]:
-                raise StateError(
-                    f"state of dimension {psi.size} does not match "
-                    f"{self.nbQubits} qubit(s)"
-                )
-            return float(np.real(np.vdot(psi, dense @ psi)))
-        return float(
-            sum(c * expectation(state, p) for c, p in self._terms)
-        )
+        n = self.nbQubits
+        psi = _as_batch(np.asarray(state).ravel(), n, "state")
+        return float(_pauli_expectations(self._evaluation_chunks(), psi, n)[0])
 
     def expectations(self, states) -> np.ndarray:
         """Batched expectations over a ``(P, 2**n)`` stack of states.
@@ -154,18 +261,9 @@ class PauliSum:
         >>> PauliSum([(1.0, 'z')]).expectations([[1, 0], [0, 1]])
         array([ 1., -1.])
         """
-        s = np.asarray(states, dtype=np.complex128)
-        if s.ndim == 1:
-            s = s[None, :]
-        dense = self._dense_operator()
-        if dense is not None:
-            if s.shape[1] != dense.shape[0]:
-                raise StateError(
-                    f"states of dimension {s.shape[1]} do not match "
-                    f"{self.nbQubits} qubit(s)"
-                )
-            return np.sum(s.conj() * (s @ dense.T), axis=1).real
-        return np.array([self.expectation(row) for row in s])
+        n = self.nbQubits
+        s = _as_batch(states, n, "states")
+        return _pauli_expectations(self._evaluation_chunks(), s, n)
 
     def __repr__(self) -> str:
         inner = " + ".join(f"{c}*{p.upper()}" for c, p in self._terms)

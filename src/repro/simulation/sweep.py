@@ -70,17 +70,23 @@ class SweepResult:
 
         ``observable`` is a Pauli string, a
         :class:`~repro.simulation.observables.PauliSum`, or a dense
-        Hermitian matrix; evaluation is one einsum across all points.
+        Hermitian matrix.  Pauli observables go through the batched
+        Pauli evaluator (no ``2**n x 2**n`` operator is built); a dense
+        matrix is contracted with every point in one einsum.
         """
-        from repro.simulation.observables import PauliSum, pauli_matrix
+        from repro.simulation.observables import PauliSum
 
-        if isinstance(observable, str):
-            matrix = pauli_matrix(observable)
-        elif isinstance(observable, PauliSum):
-            matrix = observable.matrix()
-        else:
-            matrix = np.asarray(observable)
         dim = self._states.shape[1]
+        if isinstance(observable, str):
+            observable = PauliSum([(1.0, observable)])
+        if isinstance(observable, PauliSum):
+            if 1 << observable.nbQubits != dim:
+                raise SimulationError(
+                    f"observable on {observable.nbQubits} qubit(s) does "
+                    f"not match state dimension {dim}"
+                )
+            return observable.expectations(self._states)
+        matrix = np.asarray(observable)
         if matrix.shape != (dim, dim):
             raise SimulationError(
                 f"observable shape {matrix.shape} does not match state "
